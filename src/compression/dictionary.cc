@@ -11,12 +11,12 @@ DictionaryColumn::DictionaryColumn(const std::vector<Value>& values) {
   std::sort(dict_.begin(), dict_.end());
   dict_.erase(std::unique(dict_.begin(), dict_.end()), dict_.end());
   const unsigned width = BitsFor(dict_.empty() ? 0 : dict_.size() - 1);
-  codes_ = BitPackedArray(values.size(), width);
-  for (size_t i = 0; i < values.size(); ++i) {
-    const size_t code = static_cast<size_t>(
-        std::lower_bound(dict_.begin(), dict_.end(), values[i]) - dict_.begin());
-    codes_.Set(i, code);
-  }
+  codes_ = BitPackedArray::Pack(
+      values.data(), values.size(), width, dict_.empty() ? 0 : dict_.size() - 1,
+      [this](Value v) {
+        return static_cast<uint64_t>(
+            std::lower_bound(dict_.begin(), dict_.end(), v) - dict_.begin());
+      });
 }
 
 bool DictionaryColumn::CodeRange(Value lo, Value hi, uint64_t* code_lo,

@@ -1,6 +1,7 @@
 #include "compression/frame_of_reference.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "exec/scan_kernels.h"
 
@@ -32,19 +33,14 @@ void FrameOfReferenceColumn::BuildFrames(const std::vector<Value>& values,
     CASPER_CHECK(sz > 0 && begin + sz <= values.size());
     Frame f;
     f.begin = begin;
-    f.reference = *std::min_element(values.begin() + static_cast<ptrdiff_t>(begin),
-                                    values.begin() + static_cast<ptrdiff_t>(begin + sz));
-    f.max = *std::max_element(values.begin() + static_cast<ptrdiff_t>(begin),
-                              values.begin() + static_cast<ptrdiff_t>(begin + sz));
+    std::tie(f.reference, f.max) = MinMaxOf(values.data() + begin, sz);
     // Offset arithmetic lives in uint64 (wrap-defined): values may span the
     // whole int64 domain, where max - reference overflows signed math.
-    const unsigned width = BitsFor(static_cast<uint64_t>(f.max) -
-                                   static_cast<uint64_t>(f.reference));
-    f.offsets = BitPackedArray(sz, width);
-    for (size_t i = 0; i < sz; ++i) {
-      f.offsets.Set(i, static_cast<uint64_t>(values[begin + i]) -
-                           static_cast<uint64_t>(f.reference));
-    }
+    const uint64_t ref = static_cast<uint64_t>(f.reference);
+    const uint64_t max_offset = static_cast<uint64_t>(f.max) - ref;
+    f.offsets = BitPackedArray::Pack(
+        values.data() + begin, sz, BitsFor(max_offset), max_offset,
+        [ref](Value v) { return static_cast<uint64_t>(v) - ref; });
     frames_.push_back(std::move(f));
     begin += sz;
   }

@@ -15,15 +15,13 @@ std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
   auto col = std::shared_ptr<PackedPayloadColumn>(new PackedPayloadColumn());
   col->enc_ = enc;
   if (enc == PayloadEncoding::kFrameOfReference) {
-    const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
-    col->base_ = *mn;
-    const unsigned width =
-        BitsFor(static_cast<uint64_t>(*mx) - static_cast<uint64_t>(*mn));
-    col->packed_ = BitPackedArray(values.size(), width);
-    for (size_t i = 0; i < values.size(); ++i) {
-      col->packed_.Set(i, static_cast<uint64_t>(values[i]) -
-                              static_cast<uint64_t>(col->base_));
-    }
+    const auto [mn, mx] = MinMaxOf(values.data(), values.size());
+    col->base_ = mn;
+    const uint64_t base = mn;
+    const uint64_t max_offset = static_cast<uint64_t>(mx) - base;
+    col->packed_ = BitPackedArray::Pack(
+        values.data(), values.size(), BitsFor(max_offset), max_offset,
+        [base](Payload v) { return static_cast<uint64_t>(v) - base; });
   } else {
     col->dict_ = values;
     std::sort(col->dict_.begin(), col->dict_.end());
@@ -31,13 +29,13 @@ std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
                      col->dict_.end());
     col->lut_.assign(col->dict_.begin(), col->dict_.end());
     const unsigned width = BitsFor(col->dict_.size() - 1);
-    col->packed_ = BitPackedArray(values.size(), width);
-    for (size_t i = 0; i < values.size(); ++i) {
-      const size_t code = static_cast<size_t>(
-          std::lower_bound(col->dict_.begin(), col->dict_.end(), values[i]) -
-          col->dict_.begin());
-      col->packed_.Set(i, code);
-    }
+    const std::vector<Payload>& dict = col->dict_;
+    col->packed_ = BitPackedArray::Pack(
+        values.data(), values.size(), width, dict.size() - 1,
+        [&dict](Payload v) {
+          return static_cast<uint64_t>(
+              std::lower_bound(dict.begin(), dict.end(), v) - dict.begin());
+        });
   }
   // Block prefix sums in payload space (wrapping): predicate-free sums over
   // row windows reduce to two prefix loads plus the block edges.

@@ -178,10 +178,16 @@ uint64_t SumBytes(const uint8_t* d, size_t n) {
   return s;
 }
 
+// CountU64InRange and SumIndexedU64 run on the 64-element unpack buffers of
+// the packed kernels below. Their unrolled loops stop at n rounded down to a
+// multiple of 4, so once a full block (n == 64) is inlined the compiler sees
+// the main loop end exactly at the block bound and the tail loop run zero
+// times.
 uint64_t CountU64InRange(const uint64_t* d, size_t n, uint64_t lo, uint64_t hi) {
   uint64_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const size_t n4 = n & ~size_t{3};
+  for (; i < n4; i += 4) {
     c0 += static_cast<uint64_t>(d[i] >= lo) & static_cast<uint64_t>(d[i] < hi);
     c1 += static_cast<uint64_t>(d[i + 1] >= lo) & static_cast<uint64_t>(d[i + 1] < hi);
     c2 += static_cast<uint64_t>(d[i + 2] >= lo) & static_cast<uint64_t>(d[i + 2] < hi);
@@ -217,7 +223,8 @@ size_t FilterSlotsU32InClosedRange(const uint32_t* d, size_t n, uint32_t lo,
 uint64_t SumIndexedU64(const uint64_t* lut, const uint64_t* idx, size_t n) {
   uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const size_t n4 = n & ~size_t{3};
+  for (; i < n4; i += 4) {
     s0 += lut[idx[i]];
     s1 += lut[idx[i + 1]];
     s2 += lut[idx[i + 2]];

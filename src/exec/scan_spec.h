@@ -108,6 +108,15 @@ struct ScanSpec {
   /// An empty key range qualifies no rows (full-domain specs never do).
   bool EmptyKeyRange() const { return !full_domain && lo >= hi; }
 
+  /// Calls fn(col) for every payload column the spec references, as a
+  /// predicate or an aggregate column (repeats possible).
+  template <typename Fn>
+  void ForEachPayloadColumn(Fn&& fn) const {
+    for (const PredicateSpec& p : predicates) fn(p.col);
+    for (const size_t c : agg.cols) fn(c);
+  }
+  bool TouchesPayload() const { return !predicates.empty() || !agg.cols.empty(); }
+
   /// True when every referenced payload column exists in a table of `pcols`
   /// payload columns AND the aggregate carries the arity its kind reads
   /// (kSumProduct: 2 columns; kMin/kMax/kAvg: 1). Degenerate specs evaluate

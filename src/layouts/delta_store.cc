@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "exec/scan_kernels.h"
-#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
@@ -66,31 +65,6 @@ size_t DeltaStoreLayout::PointLookupLocked(Value key,
   return count;
 }
 
-CompressedChunkCache::EncodingPtr DeltaStoreLayout::CompressedMain(
-    bool count_scan) const {
-  if (!count_scan) return compressed_.Get(0, engine_latch_.Epoch());
-  return compressed_.GetOrBuild(
-      0, engine_latch_.Epoch(), main_keys_.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis can't see through GetOrBuild that this callback runs
-        // on the caller's thread with the engine latch still held shared.
-        engine_latch_.AssertReaderHeld();
-        auto enc = std::make_shared<ChunkEncoding>();
-        enc->keys =
-            std::make_shared<FrameOfReferenceColumn>(main_keys_, size_t{4096});
-        // Positional encode, deleted slots included: values at tombstoned
-        // positions are junk the evaluator never consults (the tombstone
-        // filter precedes packed refinement), and including them keeps
-        // packed row == main-store position.
-        enc->payload.resize(main_payload_.size());
-        for (size_t c = 0; c < main_payload_.size(); ++c) {
-          enc->payload[c] = AdvisePayloadEncoding(main_payload_[c],
-                                                  /*reads=*/1, /*writes=*/0);
-        }
-        return enc;
-      });
-}
-
 ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
                                                    const ScanSpec& spec,
                                                    bool count_vote) const {
@@ -114,8 +88,9 @@ ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
   // Packed payload columns serve the main window directly (packed row ==
   // main-store position); keep the snapshot alive across the evaluation.
   CompressedChunkCache::EncodingPtr enc;
-  if (!spec.predicates.empty() || !spec.agg.cols.empty()) {
-    enc = CompressedMain(count_vote);
+  if (spec.TouchesPayload()) {
+    enc = DenseEncoding(compressed_, engine_latch_.Epoch(), main_keys_,
+                        main_payload_, spec, count_vote);
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = first;

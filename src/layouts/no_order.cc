@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "exec/scan_kernels.h"
-#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
@@ -29,32 +28,6 @@ size_t NoOrderLayout::PointLookup(Value key, std::vector<Payload>* payload) cons
     }
   }
   return count;
-}
-
-CompressedChunkCache::EncodingPtr NoOrderLayout::CompressedColumn(
-    bool count_scan) const {
-  // count_scan=false is the hit-only path for per-morsel shard scans: a
-  // 16-way fan-out must not cast 16 "read-mostly" votes for one query.
-  if (!count_scan) return compressed_.Get(0, engine_latch_.Epoch());
-  return compressed_.GetOrBuild(
-      0, engine_latch_.Epoch(), keys_.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis can't see through GetOrBuild that this callback runs
-        // on the caller's thread with the engine latch still held shared.
-        engine_latch_.AssertReaderHeld();
-        auto enc = std::make_shared<ChunkEncoding>();
-        enc->keys = std::make_shared<FrameOfReferenceColumn>(keys_, size_t{4096});
-        // Insertion-order rows are dense, so slot i is packed row i — no
-        // live-row prefix needed. The layout keeps no per-chunk read/write
-        // counters; the cache's own read-mostly vote already gated the
-        // build, so profile the columns as read-only here.
-        enc->payload.resize(payload_.size());
-        for (size_t c = 0; c < payload_.size(); ++c) {
-          enc->payload[c] =
-              AdvisePayloadEncoding(payload_[c], /*reads=*/1, /*writes=*/0);
-        }
-        return enc;
-      });
 }
 
 ScanPartial NoOrderLayout::ExecuteScan(const ScanSpec& spec) const {
@@ -87,7 +60,8 @@ ScanPartial NoOrderLayout::EvalRowsLocked(size_t begin, size_t end,
       out.count = end - begin;
       return out;
     }
-    if (const auto enc = CompressedColumn(count_vote)) {
+    if (const auto enc = DenseEncoding(compressed_, engine_latch_.Epoch(),
+                                       keys_, payload_, spec, count_vote)) {
       out.count = (begin == 0 && end == keys_.size())
                       ? enc->keys->CountRange(spec.lo, spec.hi)
                       : enc->keys->CountRangeInRows(begin, end, spec.lo, spec.hi);
@@ -103,8 +77,9 @@ ScanPartial NoOrderLayout::EvalRowsLocked(size_t begin, size_t end,
   // insertion-order rows are dense, so packed row == slot. The snapshot
   // must stay alive across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
-  if (!spec.predicates.empty() || !spec.agg.cols.empty()) {
-    enc = CompressedColumn(count_vote);
+  if (spec.TouchesPayload()) {
+    enc = DenseEncoding(compressed_, engine_latch_.Epoch(), keys_, payload_,
+                        spec, count_vote);
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = begin;

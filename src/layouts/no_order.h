@@ -82,12 +82,6 @@ class NoOrderLayout final : public LayoutEngine {
     return {begin < keys_.size() ? begin : keys_.size(), end};
   }
 
-  /// Whole-column encoding snapshot (FoR keys + advisor-chosen packed
-  /// payload columns, slot 0), valid while the engine-latch epoch is
-  /// unchanged. count_scan=false consumes a hit without voting toward the
-  /// build threshold (per-morsel shard scans vote once, via shard 0).
-  CompressedChunkCache::EncodingPtr CompressedColumn(bool count_scan = true) const
-      REQUIRES_SHARED(engine_latch_);
 
   /// Spec evaluation over the row window [begin, end).
   /// `count_vote` controls the compressed cache's read-mostly voting
@@ -106,7 +100,7 @@ class NoOrderLayout final : public LayoutEngine {
   /// One-slot cache: the whole insertion-order column is the chunk here.
   /// Fixed 4096-value frames (zone maps only pay off on clustered data, and
   /// the payoff gate rejects incompressible key sets entirely).
-  mutable CompressedChunkCache compressed_{1};
+  mutable CompressedChunkCache compressed_{1, payload_cols_};
 };
 
 }  // namespace casper

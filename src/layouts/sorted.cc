@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/scan_kernels.h"
-#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
@@ -36,29 +35,6 @@ std::pair<size_t, size_t> SortedLayout::ShardWindow(size_t shard, Value lo,
   return SortedShardWindow(keys_, kShardRows, shard, lo, hi);
 }
 
-CompressedChunkCache::EncodingPtr SortedLayout::CompressedColumn(
-    bool count_scan) const {
-  if (!count_scan) return compressed_.Get(0, engine_latch_.Epoch());
-  return compressed_.GetOrBuild(
-      0, engine_latch_.Epoch(), keys_.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis can't see through GetOrBuild that this callback runs
-        // on the caller's thread with the engine latch still held shared.
-        engine_latch_.AssertReaderHeld();
-        auto enc = std::make_shared<ChunkEncoding>();
-        // Sorted keys give narrow FoR frames; the frame column only carries
-        // the payoff gate and memory accounting here (counts stay on binary
-        // search), the packed payload columns carry the scan win.
-        enc->keys = std::make_shared<FrameOfReferenceColumn>(keys_, size_t{4096});
-        enc->payload.resize(payload_.size());
-        for (size_t c = 0; c < payload_.size(); ++c) {
-          enc->payload[c] =
-              AdvisePayloadEncoding(payload_[c], /*reads=*/1, /*writes=*/0);
-        }
-        return enc;
-      });
-}
-
 ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
                                            const ScanSpec& spec,
                                            bool count_vote) const {
@@ -78,8 +54,9 @@ ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
   // payload column serves this window directly. Keep the snapshot alive
   // across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
-  if (!spec.predicates.empty() || !spec.agg.cols.empty()) {
-    enc = CompressedColumn(count_vote);
+  if (spec.TouchesPayload()) {
+    enc = DenseEncoding(compressed_, engine_latch_.Epoch(), keys_, payload_,
+                        spec, count_vote);
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = first;

@@ -84,11 +84,6 @@ class SortedLayout final : public LayoutEngine {
                                bool count_vote = true) const
       REQUIRES_SHARED(engine_latch_);
 
-  /// Whole-column encoding snapshot (slot 0): sorted rows are dense, so
-  /// packed row == row position.
-  CompressedChunkCache::EncodingPtr CompressedColumn(bool count_scan) const
-      REQUIRES_SHARED(engine_latch_);
-
   /// Payload column count: immutable after construction, so readable with no
   /// latch (columns are never added or dropped, only rows).
   size_t payload_cols_ = 0;
@@ -96,7 +91,7 @@ class SortedLayout final : public LayoutEngine {
   std::vector<std::vector<Payload>> payload_ GUARDED_BY(engine_latch_);
   /// One-slot cache over the whole sorted run; epoch-invalidated by the
   /// engine latch like every other layout's encodings.
-  mutable CompressedChunkCache compressed_{1};
+  mutable CompressedChunkCache compressed_{1, payload_cols_};
 };
 
 }  // namespace casper

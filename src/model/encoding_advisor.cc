@@ -1,20 +1,38 @@
 #include "model/encoding_advisor.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace casper {
+
+size_t CountDistinct(const Payload* values, size_t n, Payload min,
+                     Payload max) {
+  if (n == 0) return 0;
+  const uint64_t range = static_cast<uint64_t>(max) - min;
+  if (range / 64 > n) {
+    std::vector<Payload> sorted(values, values + n);
+    std::sort(sorted.begin(), sorted.end());
+    return static_cast<size_t>(std::unique(sorted.begin(), sorted.end()) -
+                               sorted.begin());
+  }
+  std::vector<uint64_t> seen(range / 64 + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t off = static_cast<uint64_t>(values[i]) - min;
+    seen[off >> 6] |= uint64_t{1} << (off & 63);
+  }
+  size_t distinct = 0;
+  for (const uint64_t w : seen) {
+    distinct += static_cast<size_t>(__builtin_popcountll(w));
+  }
+  return distinct;
+}
 
 PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values) {
   PayloadColumnProfile p;
   p.rows = values.size();
   if (values.empty()) return p;
-  const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
-  p.min = *mn;
-  p.max = *mx;
-  std::vector<Payload> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  p.distinct = static_cast<size_t>(
-      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+  std::tie(p.min, p.max) = MinMaxOf(values.data(), values.size());
+  p.distinct = CountDistinct(values.data(), values.size(), p.min, p.max);
   return p;
 }
 

@@ -31,7 +31,13 @@ struct PayloadColumnProfile {
 /// shares the same payoff rule.
 inline constexpr double kMaxPayloadMeanBits = 16.0;
 
-/// min/max and exact distinct count of a column (one pass + sort).
+/// Exact count of distinct values among values[0, n), all within
+/// [min, max]. Marks a bitmap over [min, max] when (max - min) / 64 <= n,
+/// so the bitmap is never larger than the column; sorts a copy otherwise.
+/// Both paths count the same set.
+size_t CountDistinct(const Payload* values, size_t n, Payload min, Payload max);
+
+/// min/max and exact distinct count of a column (one pass + CountDistinct).
 PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values);
 
 /// Picks raw / FoR / dictionary for one payload column of one chunk:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "model/encoding_advisor.h"
 #include "persist/crc32.h"
 #include "persist/io.h"
 
@@ -72,19 +73,15 @@ EvictedChunkState PersistedChunk::ToEvictedState(std::string path) const {
 
 PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values) {
   if (values.empty()) return PayloadEncoding::kFrameOfReference;
-  const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
+  const PayloadColumnProfile p = ProfilePayloadValues(values);
   const unsigned for_width =
-      BitsFor(static_cast<uint64_t>(*mx) - static_cast<uint64_t>(*mn));
-  std::vector<Payload> distinct(values);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  const unsigned dict_width = BitsFor(distinct.size() - 1);
+      BitsFor(static_cast<uint64_t>(p.max) - static_cast<uint64_t>(p.min));
+  const unsigned dict_width = BitsFor(p.distinct - 1);
   // Total stored bits decide: packed codes plus the dictionary entries
   // themselves versus packed FoR offsets.
   const uint64_t for_bits = values.size() * uint64_t{for_width};
   const uint64_t dict_bits = values.size() * uint64_t{dict_width} +
-                             distinct.size() * uint64_t{8 * sizeof(Payload)};
+                             p.distinct * uint64_t{8 * sizeof(Payload)};
   return dict_bits < for_bits ? PayloadEncoding::kDictionary
                               : PayloadEncoding::kFrameOfReference;
 }

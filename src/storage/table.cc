@@ -1,10 +1,8 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
-#include "model/encoding_advisor.h"
 #include "persist/chunk_format.h"
 #include "persist/cold_scan.h"
 #include "persist/io.h"
@@ -93,74 +91,53 @@ PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
         std::make_unique<TableChunk>(std::move(chunk), std::move(payload)));
     offset += n;
   }
-  table.compressed_.Reset(table.chunks_.size());
+  table.compressed_.Reset(table.chunks_.size(), table.payload_cols_);
   return table;
 }
 
 CompressedChunkCache::EncodingPtr PartitionedTable::CompressedFor(
-    size_t c, const TableChunk& ch) const {
+    size_t c, const TableChunk& ch, const ScanSpec& spec) const {
   // The shared latch (held by the caller) pins the epoch at an even value,
-  // so an encoding built or fetched here cannot straddle a write.
+  // so an encoding built, extended or fetched here cannot straddle a write.
   // The compression-payoff gate lives in GetOrBuild; this lambda extracts
-  // the chunk's live values (frames == partitions), asks the encoding
-  // advisor for a per-column payload encoding, and records the payload zone
-  // maps + live-row prefix that let scans prune and address packed rows.
+  // the chunk's live keys (frames == partitions) and the live-row prefix
+  // that lets scans address packed rows, then hands the requested payload
+  // columns to the shared encoder with the partitions as zone-map runs.
   return compressed_.GetOrBuild(
-      c, ch.latch.Epoch(), ch.keys.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
+      c, ch.latch.Epoch(), ch.keys.size(), spec,
+      [&](ChunkEncoding* enc, const std::vector<size_t>& cols) {
         // The analysis cannot see through GetOrBuild that this callback runs
         // on the caller's stack with the latch still held; re-assert it.
         ch.latch.AssertReaderHeld();
-        std::vector<Value> values;
-        std::vector<size_t> frames;
         const auto& chunk = ch.keys;
-        chunk.LiveValues(&values, &frames);
-        if (values.empty()) return nullptr;
-        auto enc = std::make_shared<ChunkEncoding>();
-        enc->keys = std::make_shared<FrameOfReferenceColumn>(values, frames);
-
         const size_t parts = chunk.num_partitions();
-        enc->live_prefix.resize(parts + 1);
-        size_t live = 0;
-        for (size_t t = 0; t < parts; ++t) {
-          enc->live_prefix[t] = live;
-          live += chunk.partition(t).size;
-        }
-        enc->live_prefix[parts] = live;
-
-        if (payload_cols_ > 0) {
+        if (enc->keys == nullptr) {
+          std::vector<Value> values;
+          std::vector<size_t> frames;
+          chunk.LiveValues(&values, &frames);
+          if (values.empty()) return false;
+          enc->keys = std::make_shared<FrameOfReferenceColumn>(values, frames);
+          enc->live_prefix.resize(parts + 1);
+          size_t live = 0;
+          for (size_t t = 0; t < parts; ++t) {
+            enc->live_prefix[t] = live;
+            live += chunk.partition(t).size;
+          }
+          enc->live_prefix[parts] = live;
           // Scan/update mix from the counters the read and write paths
           // already bump — the advisor keeps update-heavy chunks raw.
           const ChunkStatsSnapshot snap = chunk.StatsSnapshot();
-          const uint64_t reads = snap.element_reads + snap.compressed_scans;
-          enc->payload.resize(payload_cols_);
-          enc->payload_zones.resize(payload_cols_);
-          std::vector<Payload> vals;
-          for (size_t col = 0; col < payload_cols_; ++col) {
-            const std::vector<Payload>& raw = ch.payload[col];
-            vals.clear();
-            vals.reserve(live);
-            auto& zones = enc->payload_zones[col];
-            zones.resize(parts);
-            for (size_t t = 0; t < parts; ++t) {
-              const auto& p = chunk.partition(t);
-              PayloadZone z;
-              if (p.size > 0) {
-                z.min = std::numeric_limits<Payload>::max();
-                for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-                  const Payload v = raw[s];
-                  z.min = std::min(z.min, v);
-                  z.max = std::max(z.max, v);
-                  vals.push_back(v);
-                }
-              }
-              zones[t] = z;
-            }
-            enc->payload[col] =
-                AdvisePayloadEncoding(vals, reads, snap.element_writes);
-          }
+          enc->reads = snap.element_reads + snap.compressed_scans;
+          enc->writes = snap.element_writes;
         }
-        return enc;
+        if (!cols.empty()) {
+          std::vector<PayloadRun> runs(parts);
+          for (size_t t = 0; t < parts; ++t) {
+            runs[t] = PayloadRun{chunk.partition(t).begin, chunk.partition(t).size};
+          }
+          EncodePayloadColumns(ch.payload, &runs, cols, enc);
+        }
+        return true;
       });
 }
 
@@ -231,7 +208,7 @@ uint64_t PartitionedTable::CountRangeInChunk(size_t c, Value lo, Value hi) const
     const persist::PersistedChunk pc = LoadEvicted(ch);
     return persist::CountRangePersisted(pc, lo, hi, &ch.keys.stats());
   }
-  if (const auto enc = CompressedFor(c, ch)) {
+  if (const auto enc = CompressedFor(c, ch, ScanSpec::Count(lo, hi))) {
     return ch.keys.CountRangeCompressed(*enc->keys, lo, hi);
   }
   return ch.keys.CountRange(lo, hi);
@@ -292,13 +269,12 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
   if (chunk.size() == 0) return out;
   // Scan-on-compressed: every spec that touches payload columns consults the
   // chunk encoding cache (which votes toward / reuses the ChunkEncoding
-  // snapshot). When a referenced column is packed, the evaluator scans the
-  // packed words; the payload zone maps prune or blind-consume partitions
-  // even for columns the advisor kept raw.
-  const bool touches_payload =
-      !spec.predicates.empty() || !spec.agg.cols.empty();
+  // snapshot, extending it with the spec's columns). When a referenced
+  // column is packed, the evaluator scans the packed words; the payload zone
+  // maps prune or blind-consume partitions even for columns the advisor kept
+  // raw.
   const CompressedChunkCache::EncodingPtr enc =
-      touches_payload ? CompressedFor(c, ch) : nullptr;
+      spec.TouchesPayload() ? CompressedFor(c, ch, spec) : nullptr;
   bool any_packed = false;
   if (enc != nullptr) {
     for (const PredicateSpec& pr : spec.predicates) {
@@ -340,11 +316,14 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
       // predicate for every live row, so it is dropped from this run
       // (blind consume) via the override span.
       if (!spec.predicates.empty() &&
-          spec.predicates.size() <= kMaxLocalPreds &&
-          !enc->payload_zones.empty()) {
+          spec.predicates.size() <= kMaxLocalPreds) {
         bool skip = false;
         size_t np = 0;
         for (const PredicateSpec& pr : spec.predicates) {
+          if (!enc->Built(pr.col)) {  // no zone map yet: evaluate as is
+            local_preds[np++] = pr;
+            continue;
+          }
           const PayloadZone z = enc->payload_zones[pr.col][t];
           if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
             skip = true;

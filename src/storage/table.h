@@ -392,10 +392,11 @@ class PartitionedTable {
 
   /// Chunk-c encoding snapshot (key frame + advisor-chosen packed payload
   /// columns + payload zone maps) if cached and valid at the chunk's current
-  /// epoch; counts the scan (and maybe builds) otherwise. `ch` is chunk c;
+  /// epoch, extended with any payload column `spec` references that it
+  /// lacks; counts the scan (and maybe builds) otherwise. `ch` is chunk c;
   /// the caller holds its latch shared.
-  CompressedChunkCache::EncodingPtr CompressedFor(size_t c,
-                                                  const TableChunk& ch) const
+  CompressedChunkCache::EncodingPtr CompressedFor(size_t c, const TableChunk& ch,
+                                                  const ScanSpec& spec) const
       REQUIRES_SHARED(ch.latch);
 
   Options opts_;

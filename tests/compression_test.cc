@@ -29,6 +29,68 @@ TEST(BitPack, RoundTripAllWidths) {
   }
 }
 
+// The bulk pack the encoders use must lay down exactly the words Set()
+// produces, at every width (0, 64, and the word-straddling ones) and at
+// counts that end mid-word, on a word boundary, and at zero.
+TEST(BitPack, BulkPackMatchesSetWordForWord) {
+  Rng rng(4);
+  for (unsigned width = 0; width <= 64; ++width) {
+    const uint64_t mask =
+        width == 0 ? 0 : (width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1));
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                           size_t{65}, size_t{1000}}) {
+      std::vector<uint64_t> values(n);
+      for (size_t i = 0; i < n; ++i) {
+        // Every third value is the width's maximum, the rest random.
+        values[i] = i % 3 == 0 ? mask : rng.Next() & mask;
+      }
+      BitPackedArray by_set(n, width);
+      for (size_t i = 0; i < n; ++i) by_set.Set(i, values[i]);
+      const BitPackedArray bulk = BitPackedArray::Pack(
+          values.data(), n, width, mask, [](uint64_t v) { return v; });
+      ASSERT_EQ(bulk.num_words(), by_set.num_words());
+      for (size_t w = 0; w < bulk.num_words(); ++w) {
+        ASSERT_EQ(bulk.words()[w], by_set.words()[w])
+            << "width=" << width << " n=" << n << " word=" << w;
+      }
+    }
+  }
+}
+
+// FoR frames and dictionary codes go through the bulk pack; their words
+// must match a Set()-built array of the same offsets / codes.
+TEST(BitPack, CodecsPackLikeSet) {
+  Rng rng(5);
+  std::vector<Value> values;
+  for (int i = 0; i < 3000; ++i) values.push_back(rng.Range(-500, 70000));
+  const FrameOfReferenceColumn forc(values, std::vector<size_t>{1000, 1337, 663});
+  for (size_t f = 0; f < forc.num_frames(); ++f) {
+    const BitPackedArray& got = forc.frame_offsets(f);
+    BitPackedArray want(got.size(), got.bit_width());
+    for (size_t i = 0; i < got.size(); ++i) {
+      want.Set(i, static_cast<uint64_t>(values[forc.frame_begin(f) + i]) -
+                      static_cast<uint64_t>(forc.frame_reference(f)));
+    }
+    ASSERT_TRUE(std::equal(got.words(), got.words() + got.num_words(),
+                           want.words()))
+        << "frame " << f;
+  }
+  std::vector<Value> low;
+  for (int i = 0; i < 3000; ++i) low.push_back(rng.Range(0, 40) * 1000);
+  const DictionaryColumn dict(low);
+  std::vector<Value> sorted = low;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  BitPackedArray want(low.size(), dict.bit_width());
+  for (size_t i = 0; i < low.size(); ++i) {
+    want.Set(i, static_cast<uint64_t>(
+                    std::lower_bound(sorted.begin(), sorted.end(), low[i]) -
+                    sorted.begin()));
+  }
+  ASSERT_TRUE(std::equal(want.words(), want.words() + want.num_words(),
+                         dict.words()));
+}
+
 TEST(BitPack, OverwriteIsClean) {
   BitPackedArray arr(10, 7);
   arr.Set(3, 127);

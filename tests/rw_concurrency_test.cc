@@ -19,6 +19,7 @@
 #include "exec/mixed_workload_runner.h"
 #include "layouts/layout_factory.h"
 #include "layouts/partitioned.h"
+#include "storage/table.h"
 #include "txn/mvcc.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -630,6 +631,66 @@ TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
     }
     batch_engine->ValidateInvariants();
   }
+}
+
+// Two readers referencing disjoint payload columns of one chunk race to
+// extend its keys-only encoding snapshot: both extensions must land (each
+// copy-on-write under the slot mutex), every answer must match a table that
+// never encodes, and TSan must see no race on the lock-free hit path.
+TEST(PerColumnEncodings, DisjointColumnExtensionsRaceCleanly) {
+  constexpr size_t kRows = 16384;
+  constexpr size_t kCols = 4;
+  auto make_table = [&] {
+    Rng rng(77);
+    std::vector<Value> keys(kRows);
+    std::vector<std::vector<Payload>> cols(kCols, std::vector<Payload>(kRows));
+    for (size_t i = 0; i < kRows; ++i) {
+      keys[i] = static_cast<Value>(i);
+      for (size_t c = 0; c < kCols; ++c) {
+        cols[c][i] = static_cast<Payload>(rng.Below(1000 * (c + 1)));
+      }
+    }
+    PartitionedTable::ChunkLayoutSpec spec;
+    spec.partition_sizes.assign(16, kRows / 16);
+    PartitionedTable::Options opts;
+    opts.chunk_values = kRows;
+    return PartitionedTable::Build(std::move(keys), std::move(cols), {spec},
+                                   opts);
+  };
+  PartitionedTable table = make_table();
+  const PartitionedTable reference = make_table();  // stays below the build
+  ScanSpec sum0 = ScanSpec::Sum(100, 15000, {0});
+  ScanSpec pred2 = ScanSpec::Sum(200, 16000, {3});
+  pred2.predicates.push_back({2, 500, 2400});
+  const ScanPartial want0 = reference.ScanSpecAllChunks(sum0);
+  const ScanPartial want2 = reference.ScanSpecAllChunks(pred2);
+
+  // Counts build the key frame only.
+  for (int i = 0; i < 8; ++i) table.CountRange(0, 9000);
+  ASSERT_TRUE(table.compressed_cache().HasEncoding(0));
+  ASSERT_FALSE(table.compressed_cache().Snapshot(0)->Built(0));
+
+  std::atomic<bool> go{false};
+  std::atomic<int> mismatches{0};
+  auto reader = [&](const ScanSpec& spec, const ScanPartial& want) {
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < 200; ++i) {
+      const ScanPartial got = table.ScanSpecAllChunks(spec);
+      if (got.sum != want.sum || got.count != want.count) ++mismatches;
+    }
+  };
+  std::thread a(reader, std::cref(sum0), std::cref(want0));
+  std::thread b(reader, std::cref(pred2), std::cref(want2));
+  go.store(true);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const auto enc = table.compressed_cache().Snapshot(0);
+  ASSERT_NE(enc, nullptr);
+  EXPECT_TRUE(enc->Built(0));
+  EXPECT_FALSE(enc->Built(1));
+  EXPECT_TRUE(enc->Built(2));
+  EXPECT_TRUE(enc->Built(3));
 }
 
 }  // namespace
